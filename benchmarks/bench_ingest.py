@@ -26,7 +26,6 @@ JSON untouched.
 """
 
 import hashlib
-import json
 import os
 import shutil
 import tempfile
@@ -38,6 +37,7 @@ from conftest import update_json_report
 
 from repro.datasets.registry import get_spec
 from repro.service import faultinject
+from repro.service.catalog import DEFAULT_TENANT
 from repro.service.faultinject import SimulatedCrash
 from repro.service.ingest import IngestManager
 from repro.service.keys import ReleaseKey
@@ -241,7 +241,7 @@ def test_replay_bit_identity():
         else:
             manager.ingest("storage", 0, "batch-1", batch)
         archive = (store_dir / f"{KEY.slug()}.npz").read_bytes()
-        ledger = json.loads((store_dir / "budgets.json").read_text())
+        ledger = store.catalog.load_budgets(DEFAULT_TENANT)
         manager.close()
         return hashlib.sha256(archive).hexdigest(), ledger
 

@@ -14,21 +14,20 @@ One :class:`Catalog` file holds everything the serving layer knows
 * **release metadata** — which release slugs each tenant has built.
 * **the per-tenant privacy ledger** — every epsilon spend, in spend
   order, with the per-dataset-instance totals.  This is the catalog's
-  load-bearing table: check-then-spend runs inside one ``BEGIN
-  IMMEDIATE`` transaction (:meth:`Catalog.exclusive`), so two server
-  processes sharing the file can never interleave a double spend — the
-  SQLite-native equivalent of the ``budgets.json`` flock protocol.
+  load-bearing table and the service's only persisted ledger:
+  check-then-spend runs inside one ``BEGIN IMMEDIATE`` transaction
+  (:meth:`Catalog.exclusive`), so two server processes sharing the file
+  can never interleave a double spend.
 
-**Migration.**  :meth:`Catalog.import_budgets_json` imports an existing
-``budgets.json`` spend history *bit-for-bit* — same totals, same
-``[epsilon, label]`` rows in the same order (SQLite ``REAL`` is the same
-IEEE-754 double the JSON parser produced, so nothing is re-rounded).
-The import is one-shot and idempotent: a marker row in ``meta`` records
-that the file was consumed, and re-opening the store never imports it
-twice (double-importing would double the recorded privacy loss).  The
-store keeps writing the flock'd JSON ledger alongside the catalog as a
-fallback format, so the history stays greppable and a catalog-less
-reader still sees the truth.
+**Migration.**  :meth:`Catalog.import_budgets_json` imports the
+``budgets.json`` spend history of a pre-catalog store directory
+*bit-for-bit* — same totals, same ``[epsilon, label]`` rows in the same
+order (SQLite ``REAL`` is the same IEEE-754 double the JSON parser
+produced, so nothing is re-rounded).  The import is one-shot and
+idempotent: a marker row in ``meta`` records that the file was
+consumed, and re-opening the store never imports it twice
+(double-importing would double the recorded privacy loss).  Nothing
+writes ``budgets.json`` any more; after the import the file is inert.
 
 The catalog is stdlib-only (``sqlite3``), WAL-journaled for concurrent
 readers, and safe to share across threads (connections are per-thread)
@@ -205,9 +204,8 @@ class Catalog:
 
         The write lock is taken *up front*, so a check-then-spend that
         runs inside this block is atomic against every other process
-        sharing the catalog file — the reload-under-flock protocol of
-        the JSON ledger, expressed natively.  Nests safely within one
-        thread (inner blocks join the outer transaction).
+        sharing the catalog file.  Nests safely within one thread
+        (inner blocks join the outer transaction).
         """
         conn = self._conn()
         if getattr(self._local, "txn_depth", 0) > 0:
@@ -490,8 +488,8 @@ class Catalog:
         """The tenant's ledger in ``budgets.json`` payload shape.
 
         ``{data_id: {"total": float, "ledger": [[epsilon, label], ...]}}``
-        with ledger rows in spend order — byte-compatible with the JSON
-        format version 1 document the store writes.
+        with ledger rows in spend order — the ``budgets`` member of the
+        version-1 ``budgets.json`` document pre-catalog stores wrote.
         """
         conn = self._conn()
         budgets: dict[str, dict] = {}
@@ -516,8 +514,7 @@ class Catalog:
 
         ``budgets`` is the payload shape :meth:`load_budgets` returns.
         Delete-and-reinsert keeps row order exactly the in-memory spend
-        order, which is what makes the JSON mirror bit-for-bit
-        reproducible.
+        order, so a reload replays the spends bit-for-bit.
         """
         conn = self._conn()
         faultinject.fire("catalog.replace", tenant=tenant)
@@ -544,8 +541,11 @@ class Catalog:
         exist).  The import happens in the same transaction that sets
         the marker, so a crash mid-import replays cleanly and a
         completed import can never run twice.  Raises ``ValueError``
-        for a file that parses but is not a version-1 ledger — a
-        corrupt history must never be silently dropped.
+        (marker left unset) for a file that is not a version-1 ledger,
+        and for a history an older store quarantined as
+        ``budgets.json.corrupt`` — a corrupt history must never be
+        silently dropped, and importing "no file" as an empty ledger
+        would reset every past spend.
         """
         path = Path(path)
         marker = f"imported_budgets_json:{tenant}"
@@ -555,12 +555,17 @@ class Catalog:
             ).fetchone()
             if done is not None:
                 return False
+            quarantined = path.with_name(path.name + ".corrupt")
+            if quarantined.exists():
+                raise ValueError(
+                    f"{quarantined} holds a quarantined ledger history that "
+                    "was never imported; reconcile it into "
+                    f"{path.name} (or remove it) before building again"
+                )
             if not path.exists():
                 # No pre-catalog history: the tenant is catalog-native
-                # from day one.  Set the marker anyway — a ledger mirror
-                # written to this path later (which may over-count after
-                # a crash between mirror write and COMMIT) must never be
-                # mistaken for importable history.
+                # from day one.  Set the marker anyway, so a file placed
+                # at this path later is never mistaken for history.
                 conn.execute(
                     "INSERT INTO meta (key, value) VALUES (?, ?)",
                     (marker, str(path)),

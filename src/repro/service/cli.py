@@ -42,15 +42,11 @@ owns an independent :class:`~repro.service.store.SynopsisStore` handle
 over the shared ``--store-dir``: releases preloaded (or built) by one
 worker are persisted as ``.npz`` artifacts every other worker reloads on
 demand, and builds are bit-deterministic per key, so all workers answer
-identically.  Budget accounting across workers depends on the ledger
-backend: with the default catalog (``--store-dir`` deployments share
-``<store-dir>/catalog.sqlite``) every spend runs in a ``BEGIN
-IMMEDIATE`` SQLite transaction, so the budget is strictly enforced
-across processes.  With ``--catalog off`` the JSON ledger is loaded per
-process — each worker enforces the budget against its own view and
-last-writer-wins on ``budgets.json``; preload every release before
-traffic (``--preload``) or direct builds at a single worker when strict
-accounting matters there.
+identically.  All workers share one budget ledger, the catalog
+(``<store-dir>/catalog.sqlite``, or ``--catalog PATH``): every spend
+re-reads the ledger and charges it inside one ``BEGIN IMMEDIATE``
+SQLite transaction, so the budget is strictly enforced across
+processes.
 """
 
 from __future__ import annotations
@@ -67,6 +63,7 @@ import urllib.error
 import urllib.request
 
 from repro.service import faultinject
+from repro.service.catalog import CATALOG_FILE, Catalog
 from repro.service.keys import ReleaseKey, method_names
 from repro.service.query_service import DEFAULT_ANSWER_CACHE_BYTES, QueryService
 from repro.service.server import serve
@@ -189,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog", default=None, metavar="PATH",
         help="SQLite metadata catalog (tenants, API keys, dataset "
         "registrations, per-tenant privacy ledgers); defaults to "
-        "<store-dir>/catalog.sqlite when --store-dir is set, 'off' "
-        "disables it and keeps the flock'd JSON ledger",
+        "<store-dir>/catalog.sqlite when --store-dir is set",
     )
     parser.add_argument(
         "--create-tenant", default=None, metavar="TENANT",
@@ -248,23 +244,17 @@ def resolve_workers(
 def _resolve_catalog(args):
     """Open the metadata catalog the flags ask for (or ``None``).
 
-    ``--catalog off`` disables it; an explicit path wins; otherwise a
-    ``--store-dir`` deployment gets ``<store-dir>/catalog.sqlite`` so
-    multi-worker and multi-process setups share one serialised ledger
-    by default.  In-memory servers without an explicit path run
-    catalog-less (single implicit tenant, JSON-ledger semantics).
+    An explicit ``--catalog PATH`` wins; otherwise a ``--store-dir``
+    deployment gets ``<store-dir>/catalog.sqlite`` so multi-worker and
+    multi-process setups share one serialised ledger.  In-memory servers
+    without an explicit path run catalog-less (single implicit tenant,
+    process-local ledger).
     """
-    if args.catalog == "off":
-        return None
     if args.catalog is not None:
-        path = args.catalog
-    elif args.store_dir is not None:
-        path = os.path.join(args.store_dir, "catalog.sqlite")
-    else:
-        return None
-    from repro.service.catalog import Catalog
-
-    return Catalog(path)
+        return Catalog(args.catalog)
+    if args.store_dir is not None:
+        return Catalog(os.path.join(args.store_dir, CATALOG_FILE))
+    return None
 
 
 def _admin(args, catalog) -> int:
@@ -441,9 +431,8 @@ def _worker_main(args, host: str, port: int) -> int:
     """Body of one forked worker: own store handle, shared listen port.
 
     Each worker opens its own catalog handle over the shared SQLite
-    file; spends serialise through ``BEGIN IMMEDIATE``, so with a
-    catalog the budget ledger is strictly consistent across workers
-    (unlike the per-process JSON view).
+    file; spends serialise through ``BEGIN IMMEDIATE``, so the budget
+    ledger is strictly consistent across workers.
     """
     from repro.service.auth import make_authenticator
 

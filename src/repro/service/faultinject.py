@@ -13,9 +13,9 @@ Registered fault points
 =================== ====================================================
 Point               Fired
 =================== ====================================================
-``ledger.write``    before the budget ledger's temp file is written
-``ledger.fsync``    before the ledger temp file is fsync'd
-``ledger.replace``  before the ledger temp file replaces the live file
+``catalog.replace`` inside a ledger transaction, before the tenant's
+                    ledger rows are rewritten
+``catalog.commit``  before a catalog write transaction commits
 ``archive.write``   before a release archive's temp file is written
 ``archive.fsync``   before the archive temp file is fsync'd
 ``archive.replace`` before the archive temp file replaces the live file

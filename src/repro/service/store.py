@@ -25,13 +25,15 @@
 The privacy model: fitting a synopsis *reads the sensitive data* and costs
 its epsilon under sequential composition; serving, caching, persisting and
 reloading are post-processing of already-released state and cost nothing.
-The ledger is persisted alongside the artifacts so budget exhaustion
-survives process restarts — a store pointed at the same directory cannot
-launder budget by restarting.  Spends additionally serialise across
-*processes*: each spend takes an ``fcntl.flock`` on a ledger lock file
-and re-reads the on-disk ledger before charging, so ``--workers N``
-stores sharing one directory cannot interleave read-modify-write cycles
-into a double-spend.
+The ledger lives in the SQLite :class:`~repro.service.catalog.Catalog`
+— ``<store_dir>/catalog.sqlite`` unless a shared catalog is passed in —
+so budget exhaustion survives process restarts: a store pointed at the
+same directory cannot launder budget by restarting.  Each spend re-reads
+the ledger and charges it inside one ``BEGIN IMMEDIATE`` transaction,
+so ``--workers N`` processes sharing the catalog cannot interleave
+check-then-spend cycles into a double-spend.  A store with neither a
+``store_dir`` nor a catalog keeps a process-local ledger that dies with
+the process.
 
 When a :class:`~repro.service.ingest.IngestManager` is attached
 (:meth:`SynopsisStore.set_ingest`), builds incorporate the durably
@@ -51,17 +53,12 @@ so reads never wait longer than a cache lookup even during a slow build.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
+import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-
-try:  # POSIX only; on other platforms spends fall back to in-process locking
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
 
 from repro.core.serialization import (
     ARCHIVE_FORMATS,
@@ -73,6 +70,7 @@ from repro.core.synopsis import Synopsis
 from repro.datasets.registry import get_spec
 from repro.privacy.budget import BudgetExceededError, PrivacyBudget
 from repro.service import faultinject
+from repro.service.catalog import CATALOG_FILE, Catalog, validate_tenant_id
 from repro.service.errors import (
     BudgetRefused,
     ReleaseNotFound,
@@ -83,19 +81,25 @@ from repro.service.telemetry import Deadline
 
 __all__ = ["StoreStats", "SynopsisStore"]
 
-_BUDGET_FILE = "budgets.json"
-_BUDGET_FORMAT_VERSION = 1
+#: Pre-catalog ledger file, imported into the catalog once (see
+#: :meth:`~repro.service.catalog.Catalog.import_budgets_json`).
+_LEGACY_BUDGET_FILE = "budgets.json"
 
-#: Cross-process mutual exclusion for ledger spends.  The lock file is
-#: separate from the ledger itself because the ledger is replaced by
-#: rename on every write — a flock on the replaced inode would guard
-#: nothing.
-_LEDGER_LOCK_FILE = "budgets.json.lock"
-
-#: Suffix appended to unreadable files when they are quarantined.  The
+#: Suffix appended to unreadable archives when they are quarantined.  The
 #: bytes are preserved for forensics; the name no longer matches any
 #: pattern the store parses, so a corrupt file is handled exactly once.
 _QUARANTINE_SUFFIX = ".corrupt"
+
+#: What a ledger that cannot be read or replayed raises: bad rows, bad
+#: floats, entries that overdraw their own total, an unreadable catalog.
+_LEDGER_ERRORS = (
+    sqlite3.Error,
+    ValueError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    BudgetExceededError,
+)
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -107,27 +111,26 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, data: bytes, fault_prefix: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     """Crash-safe file write: temp file + fsync + rename + dir fsync.
 
     After a crash (``kill -9``, power loss) at *any* byte boundary the
     path holds either the complete previous contents or the complete new
-    ones — never a torn mix.  ``fault_prefix`` names the injection
-    points (``{prefix}.write`` / ``.fsync`` / ``.replace``) the fault
-    harness uses to simulate disk-full, short writes, and crashes at
-    each stage.  On ordinary I/O errors the temp file is removed;
+    ones — never a torn mix.  The ``archive.write`` / ``.fsync`` /
+    ``.replace`` fault points let the harness simulate disk-full, short
+    writes, and crashes at each stage.  On ordinary I/O errors the temp file is removed;
     :class:`~repro.service.faultinject.SimulatedCrash` deliberately
     leaves the debris a real crash would.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        faultinject.fire(f"{fault_prefix}.write", path=str(tmp), data=data)
+        faultinject.fire("archive.write", path=str(tmp), data=data)
         with open(tmp, "wb") as handle:
             handle.write(data)
             handle.flush()
-            faultinject.fire(f"{fault_prefix}.fsync", path=str(tmp))
+            faultinject.fire("archive.fsync", path=str(tmp))
             os.fsync(handle.fileno())
-        faultinject.fire(f"{fault_prefix}.replace", path=str(path))
+        faultinject.fire("archive.replace", path=str(path))
         os.replace(tmp, path)
     except OSError:
         try:
@@ -196,8 +199,9 @@ class SynopsisStore:
     Parameters
     ----------
     store_dir:
-        Directory for persisted releases and the budget ledger.  ``None``
-        keeps everything in memory (evicted releases must be re-fit, which
+        Directory for persisted releases and, unless ``catalog`` is
+        given, the ledger's ``catalog.sqlite``.  ``None`` keeps
+        everything in memory (evicted releases must be re-fit, which
         still charges budget — persistent stores are strictly better for
         production use).
     dataset_budget:
@@ -224,12 +228,11 @@ class SynopsisStore:
         ``savez_compressed`` blobs.  Reading sniffs per file, so a
         directory holding a mix of both formats serves transparently.
     catalog:
-        Optional :class:`~repro.service.catalog.Catalog`.  When set, the
-        authoritative ledger moves into the catalog's SQLite tables:
-        check-then-spend runs inside one ``BEGIN IMMEDIATE`` transaction
-        (replacing the flock protocol), an existing ``budgets.json`` is
-        imported bit-for-bit exactly once, and every spend still mirrors
-        back out to ``budgets.json`` as a fallback format.
+        Optional shared :class:`~repro.service.catalog.Catalog` holding
+        the ledger; defaults to ``<store_dir>/catalog.sqlite`` when a
+        ``store_dir`` is set.  Check-then-spend runs inside one ``BEGIN
+        IMMEDIATE`` transaction, and a pre-catalog ``budgets.json`` in
+        ``store_dir`` is imported bit-for-bit exactly once.
     tenant:
         The tenant namespace this store serves (ledger scope in the
         catalog, stamp applied to every key).  The default keeps
@@ -275,25 +278,36 @@ class SynopsisStore:
         self._quarantined: dict[ReleaseKey, str] = {}
         self._ledger_corrupt: str | None = None
         self._ingest = None  # attached via set_ingest()
-        self._catalog = catalog
-        from repro.service.catalog import validate_tenant_id
-
         self._tenant = validate_tenant_id(tenant)
-        if catalog is not None:
-            catalog.ensure_tenant(self._tenant)
-            if self._store_dir is not None:
-                # One-shot, idempotent: a pre-catalog budgets.json spend
-                # history becomes catalog rows bit-for-bit; the marker in
-                # the catalog's meta table stops a second import from
-                # doubling the recorded privacy loss.
-                catalog.import_budgets_json(
-                    self._tenant, self._store_dir / _BUDGET_FILE
-                )
         if self._store_dir is not None:
             self._store_dir.mkdir(parents=True, exist_ok=True)
             self._sweep_crash_debris()
-        if self._store_dir is not None or catalog is not None:
+            if catalog is None:
+                catalog = Catalog(self._store_dir / CATALOG_FILE)
+        self._catalog = catalog
+        if catalog is not None:
+            catalog.ensure_tenant(self._tenant)
+            if self._store_dir is not None:
+                self._import_legacy_ledger()
             self._load_budgets()
+
+    def _import_legacy_ledger(self) -> None:
+        """Migrate a pre-catalog ``budgets.json`` into the catalog once.
+
+        One-shot and idempotent: the history becomes catalog rows
+        bit-for-bit, and a marker in the catalog stops a second import
+        from doubling the recorded privacy loss.  A history that cannot
+        be imported — unparseable, or quarantined by an older release
+        as ``budgets.json.corrupt`` — leaves the marker unset and the
+        store refusing all builds: starting from an empty ledger would
+        let every past spend be repeated.
+        """
+        try:
+            self._catalog.import_budgets_json(
+                self._tenant, self._store_dir / _LEGACY_BUDGET_FILE
+            )
+        except _LEDGER_ERRORS as error:
+            self._ledger_corrupt = f"{type(error).__name__}: {error}"
 
     def _sweep_crash_debris(self) -> None:
         """Remove temp files a crash mid-write left behind.
@@ -487,17 +501,22 @@ class SynopsisStore:
                 # so same-key loads and builds never interleave.
                 self._wait_inflight(deadline)
             spend_label = context.spend_label if context is not None else key.slug()
-            with self._ledger_lock():
-                # Another process sharing this store_dir may have spent
-                # since our last read; the flock plus a fresh read makes
-                # check-then-spend atomic across processes.
-                self._reload_budgets()
+            ledger_txn = (
+                self._catalog.exclusive()
+                if self._catalog is not None
+                else contextlib.nullcontext()
+            )
+            with ledger_txn:
+                # Another process sharing the catalog may have spent
+                # since our last read; BEGIN IMMEDIATE plus a fresh read
+                # makes check-then-spend atomic across processes.
+                self._load_budgets()
                 if self._ledger_corrupt is not None:
                     self.stats.refusals += 1
                     raise BudgetRefused(
-                        f"the budget ledger was corrupt and has been "
-                        f"quarantined ({self._ledger_corrupt}); the spending "
-                        "history cannot be proven, so all builds are refused — "
+                        f"the budget ledger cannot be replayed "
+                        f"({self._ledger_corrupt}); the spending history "
+                        "cannot be proven, so all builds are refused — "
                         "restore the ledger or point the store at a fresh "
                         "directory"
                     )
@@ -574,10 +593,9 @@ class SynopsisStore:
     def for_tenant(self, tenant: str) -> "SynopsisStore":
         """A sibling store serving ``tenant`` with this store's config.
 
-        Archives and the mirrored JSON ledger partition under
-        ``<store_dir>/tenants/<tenant>``; the catalog (shared) scopes the
-        authoritative ledger rows by tenant id.  Call on the *default*
-        store — its directory is the partition root.
+        Archives partition under ``<store_dir>/tenants/<tenant>``; the
+        shared catalog scopes the ledger rows by tenant id.  Call on the
+        *default* store — its directory is the partition root.
         """
         if tenant == self._tenant:
             return self
@@ -653,7 +671,7 @@ class SynopsisStore:
 
     @property
     def catalog(self):
-        """The attached metadata catalog (``None`` in JSON-ledger mode)."""
+        """The catalog holding the ledger (``None`` for store-less stores)."""
         return self._catalog
 
     def memory_payload(self) -> dict:
@@ -686,7 +704,7 @@ class SynopsisStore:
 
     @property
     def ledger_corrupt(self) -> str | None:
-        """Why the budget ledger was quarantined (``None`` when healthy)."""
+        """Why the budget ledger cannot be replayed (``None`` when healthy)."""
         return self._ledger_corrupt
 
     def budget_state(self) -> dict[str, dict]:
@@ -766,11 +784,7 @@ class SynopsisStore:
         path = self._release_path(key)
         if path is None:
             return
-        _atomic_write(
-            path,
-            synopsis_to_bytes(synopsis, self._archive_format),
-            fault_prefix="archive",
-        )
+        _atomic_write(path, synopsis_to_bytes(synopsis, self._archive_format))
 
     def _quarantine_archive(
         self, path: Path, key: ReleaseKey, error: Exception
@@ -794,164 +808,45 @@ class SynopsisStore:
             self._budgets[data_id] = budget
         return budget
 
-    @contextlib.contextmanager
-    def _ledger_lock(self):
-        """Cross-process exclusion around ledger check-then-spend.
-
-        An ``fcntl.flock`` on a dedicated lock file (the ledger itself
-        is replaced by rename on every write, so its inode cannot carry
-        a lock).  In-memory stores, and platforms without ``fcntl``,
-        fall back to the in-process lock already held by the caller.
-        The lock orders strictly after the store's thread lock — every
-        caller already holds ``self._lock`` — so there is no
-        lock-ordering cycle.
-        """
-        if self._catalog is not None:
-            # Catalog mode: the SQLite transaction *is* the cross-process
-            # exclusion — BEGIN IMMEDIATE takes the write lock up front,
-            # so reload + check + spend commit atomically against every
-            # process sharing the catalog file.
-            with self._catalog.exclusive():
-                yield
-            return
-        if self._store_dir is None or fcntl is None:
-            yield
-            return
-        fd = os.open(
-            self._store_dir / _LEDGER_LOCK_FILE, os.O_CREAT | os.O_RDWR, 0o644
-        )
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def _reload_budgets(self) -> None:
-        """Refresh in-memory budgets from disk (call under the flock).
-
-        Re-reading immediately before check-then-spend is what makes the
-        flock effective: without it, a spend by another process between
-        our init-time load and now would be invisible and the check
-        would approve an overdraw.
-        """
-        if self._ledger_corrupt is not None:
-            return
-        if self._store_dir is None and self._catalog is None:
-            return
-        self._load_budgets()
-
-    def _budgets_from_payload(self, raw: dict) -> dict[str, PrivacyBudget]:
-        """Replay a ``{data_id: {total, ledger}}`` payload into budgets.
-
-        Raises the same family of errors for malformed state as the JSON
-        parser does, so both ledger backends share one corruption path.
-        """
-        budgets: dict[str, PrivacyBudget] = {}
-        for data_id, state in raw.items():
-            # Keep the persisted total: weakening it would break the
-            # guarantee already promised to the data's owners.
-            budget = PrivacyBudget(float(state["total"]))
-            for epsilon, label in state["ledger"]:
-                budget.spend(float(epsilon), str(label))
-            budgets[data_id] = budget
-        return budgets
-
-    def _load_budgets_catalog(self) -> None:
-        """Load the tenant's ledger from the catalog.
-
-        A catalog that cannot be read or replayed puts the store into
-        the same refuse-all-builds mode as a corrupt JSON ledger — the
-        spending history is unprovable either way.
-        """
-        import sqlite3
-
-        try:
-            raw = self._catalog.load_budgets(self._tenant)
-            budgets = self._budgets_from_payload(raw)
-        except (
-            sqlite3.Error,
-            ValueError,
-            KeyError,
-            TypeError,
-            AttributeError,
-            BudgetExceededError,
-        ) as error:
-            self._ledger_corrupt = f"{type(error).__name__}: {error}"
-            return
-        self._budgets.update(budgets)
-
     def _load_budgets(self) -> None:
-        """Load the ledger; quarantine it and refuse builds when corrupt.
+        """Refresh in-memory budgets from the catalog.
 
-        The ledger is written atomically, so after any crash it is a
-        complete old or new file — but on-disk bit-rot or manual edits
-        can still corrupt it.  A corrupt ledger must never be silently
-        reset: an empty ledger would let every past spend be repeated,
-        doubling the real privacy loss.  Instead the file is renamed to
-        ``budgets.json.corrupt`` and the store enters a conservative
-        mode where *all* builds are refused (serving persisted releases
-        is post-processing and remains safe).
-
-        In catalog mode the SQLite tables are authoritative and this
-        loads from them instead; the JSON file on disk is then only the
-        mirrored fallback copy and is never parsed for truth.
+        Runs at init and again inside the spend transaction: without the
+        fresh read, a spend by another process since our last read would
+        be invisible and the check would approve an overdraw.  A ledger
+        that cannot be read or replayed must never be silently reset —
+        an empty ledger would let every past spend be repeated, doubling
+        the real privacy loss — so the store instead enters a
+        conservative mode where *all* builds are refused (serving
+        persisted releases is post-processing and remains safe).
         """
-        if self._catalog is not None:
-            self._load_budgets_catalog()
-            return
-        path = self._store_dir / _BUDGET_FILE
-        if not path.exists():
+        if self._catalog is None or self._ledger_corrupt is not None:
             return
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("version") != _BUDGET_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported budget ledger version {payload.get('version')!r}"
-                )
-            budgets: dict[str, PrivacyBudget] = {}
-            for data_id, state in payload["budgets"].items():
+            budgets = {}
+            for data_id, state in self._catalog.load_budgets(self._tenant).items():
                 # Keep the persisted total: weakening it would break the
                 # guarantee already promised to the data's owners.
                 budget = PrivacyBudget(float(state["total"]))
                 for epsilon, label in state["ledger"]:
                     budget.spend(float(epsilon), str(label))
                 budgets[data_id] = budget
-        except (
-            ValueError,  # bad JSON, bad version, bad floats
-            KeyError,
-            TypeError,
-            AttributeError,
-            BudgetExceededError,  # ledger entries overdraw their own total
-        ) as error:
-            reason = f"{type(error).__name__}: {error}"
-            try:
-                os.replace(path, path.with_name(path.name + _QUARANTINE_SUFFIX))
-            except OSError:
-                pass
-            self._ledger_corrupt = reason
+        except _LEDGER_ERRORS as error:
+            self._ledger_corrupt = f"{type(error).__name__}: {error}"
             return
         self._budgets.update(budgets)
 
     def _save_budgets(self) -> None:
-        """Durably persist the ledger (atomic temp + fsync + rename).
+        """Write the spend into the catalog's ledger rows.
 
-        Called with the spend already applied in memory, *before* the
-        fit touches sensitive data — so after a crash at any byte
-        boundary the on-disk ledger is either the complete pre-spend or
-        the complete post-spend state, and restart can only ever
-        over-count (conservative), never under-count, the epsilon spent.
-
-        In catalog mode the spend lands as catalog rows *inside* the
-        surrounding ``BEGIN IMMEDIATE`` transaction (authoritative), and
-        the JSON file is then rewritten as a mirror.  A crash between
-        mirror write and commit leaves the JSON over-counting — the
-        conservative direction, identical to the JSON-only protocol —
-        and the next committed spend rewrites the mirror from truth.
+        Called inside the ``BEGIN IMMEDIATE`` transaction with the spend
+        already applied in memory, *before* the fit touches sensitive
+        data: the rows commit with the spend or not at all, so after a
+        crash the ledger is the complete pre- or post-spend state, and
+        restart can only ever over-count (a committed spend whose fit
+        never finished), never under-count, the epsilon spent.
         """
-        if self._store_dir is None and self._catalog is None:
+        if self._catalog is None:
             return
         state = {
             data_id: {
@@ -962,13 +857,4 @@ class SynopsisStore:
             }
             for data_id, budget in self._budgets.items()
         }
-        if self._catalog is not None:
-            self._catalog.replace_budgets(self._tenant, state)
-        if self._store_dir is None:
-            return
-        payload = {"version": _BUDGET_FORMAT_VERSION, "budgets": state}
-        _atomic_write(
-            self._store_dir / _BUDGET_FILE,
-            json.dumps(payload, indent=2).encode("utf-8"),
-            fault_prefix="ledger",
-        )
+        self._catalog.replace_budgets(self._tenant, state)

@@ -1,7 +1,7 @@
 """Shared fixtures for the fault-injection suite (``make test-faults``).
 
 Each test arms hooks in :mod:`repro.service.faultinject` to break the
-service at a named point — disk full mid-ledger-write, a crash between
+service at a named point — disk full mid-archive-write, a crash between
 fsync and rename, a socket that drips one byte a second — and asserts
 the armor holds: load is shed, deadlines fire, corruption is
 quarantined, budgets never double-spend.  Hooks are process-global, so

@@ -176,6 +176,16 @@ class TestPersistence:
         with pytest.raises(BudgetRefused):
             revived.build(key(epsilon=1.0), force=True)
 
+    def test_ledger_lives_in_the_store_dir_catalog(self, tmp_path):
+        from repro.service.catalog import DEFAULT_TENANT, Catalog
+
+        store = SynopsisStore(store_dir=tmp_path, n_points=N_POINTS)
+        store.build(key(epsilon=0.5))
+        assert store.catalog.path == tmp_path / "catalog.sqlite"
+        ledger = Catalog(tmp_path / "catalog.sqlite").load_budgets(DEFAULT_TENANT)
+        assert ledger["storage|0"]["ledger"] == [[0.5, key(epsilon=0.5).slug()]]
+        assert not (tmp_path / "budgets.json").exists()
+
     def test_restart_keeps_persisted_total_not_new_config(self, tmp_path):
         SynopsisStore(
             store_dir=tmp_path, n_points=N_POINTS, dataset_budget=1.0

@@ -2,8 +2,8 @@
 
 The suite covers the tenant-aware service tier end to end: the routed
 HTTP adapter, API-key authentication, the SQLite metadata catalog, and
-the per-tenant budget ledgers — including their cross-process and
-crash-safety parity with the JSON-ledger fault suite.
+the per-tenant budget ledgers — including their cross-process safety
+and crash safety.
 """
 
 import json

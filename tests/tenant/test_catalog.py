@@ -7,11 +7,13 @@ import pytest
 from repro.service.catalog import DEFAULT_TENANT, Catalog, validate_tenant_id
 from repro.service.errors import (
     AuthForbidden,
+    BudgetRefused,
     DatasetExists,
     DatasetNotFound,
     ValidationError,
 )
 from repro.service.keys import ReleaseKey
+from repro.service.query_service import QueryService
 from repro.service.store import SynopsisStore
 
 N_POINTS = 1_000
@@ -22,17 +24,41 @@ def _key(epsilon, method="UG", seed=0):
     return ReleaseKey("storage", method, epsilon, seed)
 
 
+#: A pre-catalog store directory's ledger, as the version-1 JSON format
+#: wrote it (nothing writes this format any more).  0.30000000000000004
+#: is the sum 0.1 + 0.2, kept to prove the import never re-rounds.
+LEGACY_LEDGER = {
+    "version": 1,
+    "budgets": {
+        "storage|0": {
+            "total": 4.0,
+            "ledger": [
+                [0.5, "storage_UG_eps0.5_seed0"],
+                [0.30000000000000004, "storage_AG_eps0.30000000000000004_seed0"],
+            ],
+        },
+        "storage|1": {
+            "total": 4.0,
+            "ledger": [[0.75, "storage_UG_eps0.75_seed1"]],
+        },
+    },
+}
+
+IMPORT_MARKER = f"imported_budgets_json:{DEFAULT_TENANT}"
+
+
+def _marker_set(catalog) -> bool:
+    with catalog.exclusive() as conn:
+        row = conn.execute(
+            "SELECT 1 FROM meta WHERE key = ?", (IMPORT_MARKER,)
+        ).fetchone()
+    return row is not None
+
+
 class TestBudgetsJsonMigration:
     def test_import_is_bit_for_bit(self, tmp_path):
         """Every total, epsilon, label, and their order survive import."""
-        json_store = SynopsisStore(
-            store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS
-        )
-        json_store.build(_key(0.5))
-        json_store.build(_key(0.25, method="AG"))
-        json_store.build(_key(0.75, seed=1))
-        before = json.loads((tmp_path / LEDGER).read_text())["budgets"]
-
+        (tmp_path / LEDGER).write_text(json.dumps(LEGACY_LEDGER, indent=2))
         catalog = Catalog(tmp_path / "catalog.sqlite")
         SynopsisStore(
             store_dir=tmp_path,
@@ -40,7 +66,8 @@ class TestBudgetsJsonMigration:
             n_points=N_POINTS,
             catalog=catalog,
         )
-        assert catalog.load_budgets(DEFAULT_TENANT) == before
+        assert catalog.load_budgets(DEFAULT_TENANT) == LEGACY_LEDGER["budgets"]
+        assert _marker_set(catalog)
 
     def test_import_is_one_shot(self, tmp_path):
         """Edits to the JSON file after import never re-enter the catalog.
@@ -49,10 +76,7 @@ class TestBudgetsJsonMigration:
         on every open would resurrect rows the catalog has since moved
         past (and double-import on a crash loop).
         """
-        store = SynopsisStore(
-            store_dir=tmp_path, dataset_budget=4.0, n_points=N_POINTS
-        )
-        store.build(_key(0.5))
+        (tmp_path / LEDGER).write_text(json.dumps(LEGACY_LEDGER))
         catalog = Catalog(tmp_path / "catalog.sqlite")
 
         def reopen():
@@ -65,9 +89,7 @@ class TestBudgetsJsonMigration:
 
         reopen()
         imported = catalog.load_budgets(DEFAULT_TENANT)
-        # Tamper with the JSON as a crashed mirror write might have.
-        doctored = {"version": 1, "budgets": {}}
-        (tmp_path / LEDGER).write_text(json.dumps(doctored))
+        (tmp_path / LEDGER).write_text(json.dumps({"version": 1, "budgets": {}}))
         reopen()
         assert catalog.load_budgets(DEFAULT_TENANT) == imported
 
@@ -77,19 +99,52 @@ class TestBudgetsJsonMigration:
         with pytest.raises(ValueError, match="version"):
             catalog.import_budgets_json(DEFAULT_TENANT, tmp_path / LEDGER)
 
-    def test_json_mirror_tracks_catalog_spends(self, tmp_path):
-        """Catalog mode keeps rewriting budgets.json in the v1 format."""
+    @pytest.mark.parametrize("name", [LEDGER + ".corrupt", LEDGER])
+    def test_unimportable_history_refuses_builds_not_reset(
+        self, tmp_path, name, start_server, call
+    ):
+        """A history that cannot be imported never becomes an empty ledger.
+
+        ``budgets.json.corrupt`` is a history an older store quarantined;
+        an unparseable ``budgets.json`` is one it never got to.  Either
+        way 0.9 of a 1.0 budget may already be spent, so a fresh 0.9
+        build must be refused — at this open and at every restart —
+        until the history is reconciled.
+        """
+        spent = {
+            "version": 1,
+            "budgets": {
+                "storage|0": {
+                    "total": 1.0,
+                    "ledger": [[0.9, "storage_UG_eps0.9_seed0"]],
+                }
+            },
+        }
+        (tmp_path / name).write_text(json.dumps(spent)[:-7])  # truncated
         catalog = Catalog(tmp_path / "catalog.sqlite")
-        store = SynopsisStore(
-            store_dir=tmp_path,
-            dataset_budget=4.0,
-            n_points=N_POINTS,
-            catalog=catalog,
+        for _restart in range(2):
+            store = SynopsisStore(
+                store_dir=tmp_path,
+                dataset_budget=1.0,
+                n_points=N_POINTS,
+                catalog=catalog,
+            )
+            assert store.ledger_corrupt is not None
+            with pytest.raises(BudgetRefused, match="ledger"):
+                store.build(_key(0.9, method="AG"))
+            assert not _marker_set(catalog)
+            assert catalog.load_budgets(DEFAULT_TENANT) == {}
+        server = start_server(QueryService(store))
+        status, body, _ = call(server, "/health")
+        assert status == 200
+        assert body["ledger_corrupt"] is True
+        status, body, _ = call(
+            server,
+            "/releases",
+            {"dataset": "storage", "method": "AG", "epsilon": 0.9, "seed": 0},
         )
-        store.build(_key(0.5))
-        mirror = json.loads((tmp_path / LEDGER).read_text())
-        assert mirror["version"] == 1
-        assert mirror["budgets"] == catalog.load_budgets(DEFAULT_TENANT)
+        assert status == 409
+        assert body["error"] == "BudgetRefused"
 
 
 class TestTenantIds:

@@ -1,10 +1,12 @@
 """Cross-process budget safety on the catalog ledger.
 
-Parity with ``tests/faults/test_ledger_lock.py``, with the SQLite
-catalog in place of the flock'd JSON file: two stores over *different*
-directories share one catalog, so their in-memory ledger views are
-exactly as independent as two processes' would be.  ``BEGIN IMMEDIATE``
-around the check-then-spend must make overdraw impossible anyway.
+Two stores over *different* directories share one catalog, so their
+in-memory ledger views are exactly as independent as two processes'
+would be.  Without an exclusive lock around the check-then-spend and a
+reload while holding it, both could read "1.0 remaining" and both
+spend, overdrawing the dataset's epsilon — a privacy violation, not
+just an accounting bug.  ``BEGIN IMMEDIATE`` must make overdraw
+impossible.
 """
 
 import threading
